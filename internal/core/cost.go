@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Cost machinery (§III-B). All reconstruction-error quantities are kept in
 // the ordered convention of Eq. (1): each erroneous unordered pair counts
@@ -20,6 +17,15 @@ func crossTotals(piA, piB, dmAB float64) (t, e float64) {
 
 func selfTotals(piA, qA, dmAA float64) (t, e float64) {
 	return piA*piA - qA, dmAA
+}
+
+// totals returns the ordered totals of the pair (a, x) under the current
+// aggregates, given the directed mass dm from a to x.
+func (eng *engine) totals(a, x uint32, dm float64) (t, e float64) {
+	if x == a {
+		return selfTotals(eng.sumPi[a], eng.sumPiSq[a], dm)
+	}
+	return crossTotals(eng.sumPi[a], eng.sumPi[x], dm)
 }
 
 // pairCost returns Cost_AB (Eq. 6) in bits for a pair with ordered totals
@@ -71,55 +77,29 @@ func entropyBits(t, e float64) float64 {
 
 // supernodeCost computes Cost_A (Eq. 9) for slot a under the current
 // superedge set, given a's masses in pm. Superedges to supernodes with zero
-// mass are also charged (presence bits only).
+// mass are also charged (presence bits only), in ascending slot order after
+// the massive pairs, so cost sums are bit-for-bit deterministic.
 func (eng *engine) supernodeCost(a uint32, pm *pairMass) float64 {
 	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
 	total := 0.0
 	for _, x := range pm.keys {
-		dm := pm.m[x]
-		var t, e float64
-		if x == a {
-			t, e = selfTotals(eng.sumPi[a], eng.sumPiSq[a], dm)
-		} else {
-			t, e = crossTotals(eng.sumPi[a], eng.sumPi[x], dm)
-		}
+		t, e := eng.totals(a, x, pm.m[x])
 		total += eng.pairCost(t, e, eng.hasSuperedge(a, x), logS2)
 	}
-	// Superedges with zero mass are pathological but possible; accumulate
-	// them in sorted order so cost sums are bit-for-bit deterministic (map
-	// iteration order would otherwise perturb argmax tie-breaking).
-	var zeroMass []uint32
-	for x := range eng.sedges[a] { //lint:ordered zero-mass keys are sorted below before any accumulation
-		if _, ok := pm.m[x]; !ok {
-			zeroMass = append(zeroMass, x)
+	for _, x := range eng.sedges[a] {
+		if !pm.in[x] {
+			t, e := eng.totals(a, x, 0)
+			total += eng.pairCost(t, e, true, logS2)
 		}
-	}
-	if len(zeroMass) > 1 {
-		sort.Slice(zeroMass, func(i, j int) bool { return zeroMass[i] < zeroMass[j] })
-	}
-	for _, x := range zeroMass {
-		var t, e float64
-		if x == a {
-			t, e = selfTotals(eng.sumPi[a], eng.sumPiSq[a], 0)
-		} else {
-			t, e = crossTotals(eng.sumPi[a], eng.sumPi[x], 0)
-		}
-		total += eng.pairCost(t, e, true, logS2)
 	}
 	return total
 }
 
-// evaluateMerge computes the cost reduction of merging slots a and b:
-// Eq. (10) (absolute) and Eq. (11) (relative). It fills eng.pmA/pmB as a
-// side effect (reused by performMerge when the pair is accepted).
-func (eng *engine) evaluateMerge(a, b uint32) (rel, abs float64) {
-	return eng.evaluateMergeInto(a, b, &eng.pmA, &eng.pmB)
-}
-
-// evaluateMergeInto is evaluateMerge with caller-supplied mass scratch: it
-// only reads the engine state, so distinct scratch pairs may evaluate
-// distinct candidate pairs concurrently (the parallel scoring path). pmA/pmB
-// are left holding the masses of a and b for reuse by performMerge.
+// evaluateMergeInto computes the cost reduction of merging slots a and b:
+// Eq. (10) (absolute) and Eq. (11) (relative). It only reads the engine
+// state, so distinct scratch pairs may evaluate distinct candidate pairs
+// concurrently (the parallel scoring path). pmA/pmB are left holding the
+// masses of a and b for reuse by performMergeWith.
 func (eng *engine) evaluateMergeInto(a, b uint32, pmA, pmB *pairMass) (rel, abs float64) {
 	eng.accumulateMass(a, pmA)
 	eng.accumulateMass(b, pmB)
@@ -149,54 +129,43 @@ func (eng *engine) mergedCost(a, b uint32, pmA, pmB *pairMass) float64 {
 	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper-1), 2))
 	piC := eng.sumPi[a] + eng.sumPi[b]
 	qC := eng.sumPiSq[a] + eng.sumPiSq[b]
-
 	total := 0.0
-	// Cross pairs to every adjacent supernode X ∉ {a,b}.
-	for _, x := range pmA.keys {
-		if x == a || x == b {
-			continue
-		}
-		dm := pmA.m[x] + pmB.m[x] // m[x] is 0 when absent
-		t, e := crossTotals(piC, eng.sumPi[x], dm)
-		c, _ := eng.bestPairCost(t, e, logS2)
-		total += c
-	}
-	for _, x := range pmB.keys {
-		if x == a || x == b {
-			continue
-		}
-		if _, seen := pmA.m[x]; seen {
-			continue // already handled above
-		}
-		t, e := crossTotals(piC, eng.sumPi[x], pmB.m[x])
-		c, _ := eng.bestPairCost(t, e, logS2)
-		total += c
-	}
-	// Self pair of the merged supernode: ordered intra mass
-	// dm_AA + dm_BB + 2·m_AB.
-	dmCC := pmA.m[a] + pmB.m[b] + 2*pmA.m[b]
-	t, e := selfTotals(piC, qC, dmCC)
-	c, _ := eng.bestPairCost(t, e, logS2)
-	return total + c
+	eng.mergedPairs(a, b, pmA, pmB, piC, qC, logS2, func(_ uint32, c float64, _ bool) { total += c })
+	return total
 }
 
-// performMerge merges slot b into slot a using the main-goroutine scratch;
-// see performMergeWith.
-func (eng *engine) performMerge(a, b uint32, massesFresh bool) {
-	eng.performMergeWith(a, b, &eng.pmA, &eng.pmB, massesFresh)
+// mergedPairs visits every pair incident to the merged supernode C = A∪B
+// (aggregates piC, qC; presence bits logS2) with its best cost and presence
+// choice: the cross pairs to every adjacent X ∉ {a,b} in first-touch order of
+// pmA then pmB, then C's self pair with ordered intra mass
+// dm_AA + dm_BB + 2·m_AB. mergedCost and performMergeWith share this walk,
+// so the committed superedges are exactly the ones the evaluation priced.
+func (eng *engine) mergedPairs(a, b uint32, pmA, pmB *pairMass, piC, qC, logS2 float64, visit func(x uint32, cost float64, present bool)) {
+	for _, x := range pmA.keys {
+		if x != a && x != b {
+			t, e := crossTotals(piC, eng.sumPi[x], pmA.m[x]+pmB.m[x])
+			c, present := eng.bestPairCost(t, e, logS2)
+			visit(x, c, present)
+		}
+	}
+	for _, x := range pmB.keys {
+		if x != a && x != b && !pmA.in[x] {
+			t, e := crossTotals(piC, eng.sumPi[x], pmB.m[x])
+			c, present := eng.bestPairCost(t, e, logS2)
+			visit(x, c, present)
+		}
+	}
+	t, e := selfTotals(piC, qC, pmA.m[a]+pmB.m[b]+2*pmA.m[b])
+	c, present := eng.bestPairCost(t, e, logS2)
+	visit(a, c, present)
 }
 
 // performMergeWith merges slot b into slot a (Alg. 2 lines 6–9): removes
 // stale superedges, unions members and aggregates, and re-adds superedges
 // incident to the merged supernode exactly when presence lowers the pair
-// cost. pmA/pmB must hold the masses of a and b (as left by the argmax
-// evaluation's scratch, so the winning evaluation is not repeated here;
-// recomputed when massesFresh is false).
-func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass, massesFresh bool) {
-	if !massesFresh {
-		eng.accumulateMass(a, pmA)
-		eng.accumulateMass(b, pmB)
-	}
+// cost. pmA/pmB must hold the masses of a and b, as left by the argmax
+// evaluation's scratch, so the winning evaluation is not repeated here.
+func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass) {
 	eng.removeIncidentSuperedges(a)
 	eng.removeIncidentSuperedges(b)
 
@@ -212,37 +181,9 @@ func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass, massesFresh
 	eng.numSuper--
 
 	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
-	piC, qC := eng.sumPi[a], eng.sumPiSq[a]
-
-	decide := func(x uint32, dm float64) {
-		var t, e float64
-		if x == a {
-			t, e = selfTotals(piC, qC, dm)
-		} else {
-			t, e = crossTotals(piC, eng.sumPi[x], dm)
-		}
-		if _, present := eng.bestPairCost(t, e, logS2); present {
+	eng.mergedPairs(a, b, pmA, pmB, eng.sumPi[a], eng.sumPiSq[a], logS2, func(x uint32, _ float64, present bool) {
+		if present {
 			eng.addSuperedge(a, x)
 		}
-	}
-
-	dmCC := pmA.m[a] + pmB.m[b] + 2*pmA.m[b]
-	for _, x := range pmA.keys {
-		if x == a || x == b {
-			continue
-		}
-		decide(x, pmA.m[x]+pmB.m[x])
-	}
-	for _, x := range pmB.keys {
-		if x == a || x == b {
-			continue
-		}
-		if _, inA := pmA.m[x]; inA {
-			continue
-		}
-		decide(x, pmB.m[x])
-	}
-	if dmCC > 0 {
-		decide(a, dmCC)
-	}
+	})
 }

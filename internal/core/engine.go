@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"pegasus/internal/graph"
 	"pegasus/internal/par"
@@ -24,17 +25,14 @@ type engine struct {
 	// and Z disappears from every formula.
 	pi []float64
 
-	superOf  []uint32          // node -> slot
-	members  [][]graph.NodeID  // slot -> member nodes; nil when dead
-	sumPi    []float64         // slot -> Π_A (scaled)
-	sumPiSq  []float64         // slot -> Q_A (scaled)
-	sedges   []map[uint32]bool // slot -> superedge neighbor set (may contain the slot itself: self-loop)
-	numSuper int               // |S|
-	numP     int               // |P|
-	logV     float64           // log2|V|
-
-	// scratch buffers reused across merge evaluations on the main goroutine
-	pmA, pmB pairMass
+	superOf  []uint32         // node -> slot
+	members  [][]graph.NodeID // slot -> member nodes; nil when dead
+	sumPi    []float64        // slot -> Π_A (scaled)
+	sumPiSq  []float64        // slot -> Q_A (scaled)
+	sedges   [][]uint32       // slot -> strictly ascending superedge neighbors (may contain the slot itself: self-loop)
+	numSuper int              // |S|
+	numP     int              // |P|
+	logV     float64          // log2|V|
 
 	// candidate-generation scratch reused across iterations (shingle.go):
 	// per-depth node-shingle vectors tagged with the seed that filled them,
@@ -58,20 +56,32 @@ type engine struct {
 // For X ≠ A, dm_AX equals the unordered weighted edge mass m_AX; for X = A
 // each intra edge is visited from both endpoints, so dm_AA = 2·m_AA, which
 // is exactly the ordered intra edge mass.
+//
+// m and in are dense and slot-indexed (m[x] is 0 when x is untouched); keys
+// lists the touched slots in first-touch order, which fixes the float
+// summation order of every cost sum over them.
 type pairMass struct {
 	keys []uint32
-	m    map[uint32]float64
+	m    []float64
+	in   []bool
 }
 
-func (pm *pairMass) reset() {
+// reset clears the touched entries and grows the dense arrays to cover
+// slots slot IDs; clearing only what was touched keeps an evaluation O(deg).
+func (pm *pairMass) reset(slots int) {
 	for _, k := range pm.keys {
-		delete(pm.m, k)
+		pm.m[k], pm.in[k] = 0, false
 	}
 	pm.keys = pm.keys[:0]
+	if len(pm.m) < slots {
+		pm.m = make([]float64, slots)
+		pm.in = make([]bool, slots)
+	}
 }
 
 func (pm *pairMass) add(x uint32, v float64) {
-	if _, ok := pm.m[x]; !ok {
+	if !pm.in[x] {
+		pm.in[x] = true
 		pm.keys = append(pm.keys, x)
 	}
 	pm.m[x] += v
@@ -90,7 +100,7 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 		members:  make([][]graph.NodeID, n),
 		sumPi:    make([]float64, n),
 		sumPiSq:  make([]float64, n),
-		sedges:   make([]map[uint32]bool, n),
+		sedges:   make([][]uint32, n),
 		numSuper: n,
 		numP:     int(g.NumEdges()),
 		logV:     math.Log2(math.Max(float64(n), 2)),
@@ -106,14 +116,11 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 			e.members[u] = []graph.NodeID{graph.NodeID(u)}
 			e.sumPi[u] = p
 			e.sumPiSq[u] = p * p
-			e.sedges[u] = make(map[uint32]bool, g.Degree(graph.NodeID(u)))
-			for _, v := range g.Neighbors(graph.NodeID(u)) {
-				e.sedges[u][uint32(v)] = true
-			}
+			// Adjacency lists are sorted and self-loop free, so each is
+			// already a valid superedge list.
+			e.sedges[u] = slices.Clone(g.Neighbors(graph.NodeID(u)))
 		}
 	})
-	e.pmA.m = make(map[uint32]float64)
-	e.pmB.m = make(map[uint32]float64)
 	return e
 }
 
@@ -126,31 +133,57 @@ func (e *engine) sizeBits() float64 {
 	return (2*float64(e.numP) + float64(len(e.superOf))) * math.Log2(k)
 }
 
-func (e *engine) hasSuperedge(a, b uint32) bool { return e.sedges[a][b] }
+func (e *engine) hasSuperedge(a, b uint32) bool {
+	_, ok := slices.BinarySearch(e.sedges[a], b)
+	return ok
+}
 
+// addSuperedge inserts the superedge {a,b}, keeping both lists ascending.
+// The caller guarantees it is absent.
 func (e *engine) addSuperedge(a, b uint32) {
-	e.sedges[a][b] = true
-	e.sedges[b][a] = true
+	e.sedges[a] = insertSorted(e.sedges[a], b)
+	if a != b {
+		e.sedges[b] = insertSorted(e.sedges[b], a)
+	}
 	e.numP++
 }
 
+// deleteSuperedge removes the present superedge {a,b} from both lists.
+func (e *engine) deleteSuperedge(a, b uint32) {
+	e.sedges[a] = deleteSorted(e.sedges[a], b)
+	if a != b {
+		e.sedges[b] = deleteSorted(e.sedges[b], a)
+	}
+	e.numP--
+}
+
 // removeIncidentSuperedges drops every superedge incident to slot a (Alg. 2
-// line 8) and returns how many were removed.
-func (e *engine) removeIncidentSuperedges(a uint32) int {
-	removed := len(e.sedges[a])
-	for x := range e.sedges[a] { //lint:ordered each iteration deletes an independent mirror entry; order cannot affect the result
+// line 8).
+func (e *engine) removeIncidentSuperedges(a uint32) {
+	for _, x := range e.sedges[a] {
 		if x != a {
-			delete(e.sedges[x], a)
+			e.sedges[x] = deleteSorted(e.sedges[x], a)
 		}
 	}
-	e.numP -= removed
-	e.sedges[a] = make(map[uint32]bool)
-	return removed
+	e.numP -= len(e.sedges[a])
+	e.sedges[a] = e.sedges[a][:0]
+}
+
+// insertSorted inserts x, which must be absent, into the ascending list s.
+func insertSorted(s []uint32, x uint32) []uint32 {
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Insert(s, i, x)
+}
+
+// deleteSorted removes x, which must be present, from the ascending list s.
+func deleteSorted(s []uint32, x uint32) []uint32 {
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Delete(s, i, i+1)
 }
 
 // accumulateMass fills pm with the directed masses of slot a.
 func (e *engine) accumulateMass(a uint32, pm *pairMass) {
-	pm.reset()
+	pm.reset(len(e.members))
 	for _, u := range e.members[a] {
 		pu := e.pi[u]
 		for _, v := range e.g.Neighbors(u) {
@@ -176,11 +209,8 @@ func (e *engine) aliveSlots() []uint32 {
 // buildSummary freezes the engine state into an immutable Summary.
 func (e *engine) buildSummary() *summary.Summary {
 	b := summary.NewBuilder(e.superOf)
-	for a := range e.sedges {
-		if e.members[a] == nil {
-			continue
-		}
-		for x := range e.sedges[a] { //lint:ordered Builder keys superedges by endpoint pair and canonicalizes order at Build
+	for a, xs := range e.sedges {
+		for _, x := range xs {
 			if x >= uint32(a) {
 				b.AddSuperedge(uint32(a), x, 1)
 			}

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"testing"
 
+	"pegasus/internal/datasets"
 	"pegasus/internal/gen"
+	"pegasus/internal/graph"
+	"pegasus/internal/metrics"
 	"pegasus/internal/weights"
 )
 
@@ -30,6 +33,7 @@ func benchEngine(b *testing.B, n, m int) *engine {
 // O(deg(A)+deg(B))).
 func BenchmarkEvaluateMerge(b *testing.B) {
 	e := benchEngine(b, 5000, 4)
+	var pmA, pmB pairMass
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := uint32(i % 5000)
@@ -37,7 +41,7 @@ func BenchmarkEvaluateMerge(b *testing.B) {
 		if a == c {
 			c = (c + 1) % 5000
 		}
-		e.evaluateMerge(a, c)
+		e.evaluateMergeInto(a, c, &pmA, &pmB)
 	}
 }
 
@@ -76,7 +80,48 @@ func BenchmarkPerformMerge(b *testing.B) {
 		slots := e.aliveSlots()
 		b.StartTimer()
 		for j := 0; j+1 < len(slots) && j < 200; j += 2 {
-			e.performMerge(slots[j], slots[j+1], false)
+			commitMerge(e, slots[j], slots[j+1])
+		}
+	}
+}
+
+// BenchmarkLSHPareto sets build time against quality for the default
+// shingle grouping and LSH seeding with b bands of r=2 rows: ns/op is one
+// personalized build (budget ratio 0.5, 100 targets, α 1.25) and perr the
+// personalized error (Eq. 1) of the summary it produced. The graphs are the
+// S5 BA stand-in at 10^4 nodes and the DBLP SBM stand-in at scale 3.
+//
+//	go test ./internal/core -run '^$' -bench LSHPareto -benchtime 5x
+func BenchmarkLSHPareto(b *testing.B) {
+	for _, ds := range []struct {
+		short string
+		scale float64
+	}{{"S5", 0.1}, {"DB", 3}} {
+		d, err := datasets.ByShort(ds.short)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := d.Load(ds.scale)
+		targets := graph.SampleNodes(g, 100, 1)
+		w, err := weights.New(g, targets, 1.25)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bands := range []int{0, 4, 8, 16} {
+			name := "default"
+			if bands > 0 {
+				name = fmt.Sprintf("lsh=%dx2", bands)
+			}
+			b.Run(ds.short+"/"+name, func(b *testing.B) {
+				cfg := Config{Targets: targets, BudgetRatio: 0.5, Seed: 1, LSHBands: bands}
+				var res *Result
+				for i := 0; i < b.N; i++ {
+					if res, err = Summarize(g, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(metrics.PersonalizedError(g, res.Summary, w), "perr")
+			})
 		}
 	}
 }

@@ -200,16 +200,17 @@ func TestEvaluateMergeSymmetry(t *testing.T) {
 	}
 	w := mustWeights(t, g, []graph.NodeID{0}, 1.5)
 	e := newEngine(g, w, cfg)
+	var pmA, pmB pairMass
 	for trial := 0; trial < 50; trial++ {
 		a := uint32(e.rng.Intn(g.NumNodes()))
 		b := uint32(e.rng.Intn(g.NumNodes()))
 		if a == b {
 			continue
 		}
-		r1, a1 := e.evaluateMerge(a, b)
-		r2, a2 := e.evaluateMerge(b, a)
+		r1, a1 := e.evaluateMergeInto(a, b, &pmA, &pmB)
+		r2, a2 := e.evaluateMergeInto(b, a, &pmA, &pmB)
 		if math.Abs(r1-r2) > 1e-9 || math.Abs(a1-a2) > 1e-6 {
-			t.Fatalf("evaluateMerge asymmetric: (%v,%v) vs (%v,%v)", r1, a1, r2, a2)
+			t.Fatalf("evaluateMergeInto asymmetric: (%v,%v) vs (%v,%v)", r1, a1, r2, a2)
 		}
 	}
 }
@@ -222,6 +223,7 @@ func TestEngineCountsStayConsistent(t *testing.T) {
 	}
 	w := mustWeights(t, g, nil, 1)
 	e := newEngine(g, w, cfg)
+	checkSuperedges(t, e)
 	for trial := 0; trial < 60; trial++ {
 		slots := e.aliveSlots()
 		if len(slots) < 2 {
@@ -232,29 +234,8 @@ func TestEngineCountsStayConsistent(t *testing.T) {
 		if a == b {
 			continue
 		}
-		e.performMerge(a, b, false)
-		// Recount |P| from scratch and compare.
-		count := 0
-		for x := range e.sedges {
-			if e.members[x] == nil {
-				if len(e.sedges[x]) != 0 {
-					t.Fatal("dead slot retains superedges")
-				}
-				continue
-			}
-			//lint:ordered pure recount: every entry is validated and counted; the total is order-independent
-			for y := range e.sedges[x] {
-				if !e.alive(y) {
-					t.Fatalf("superedge to dead slot %d", y)
-				}
-				if y >= uint32(x) {
-					count++
-				}
-			}
-		}
-		if count != e.numP {
-			t.Fatalf("numP = %d but counted %d", e.numP, count)
-		}
+		commitMerge(e, a, b)
+		checkSuperedges(t, e)
 		if len(e.aliveSlots()) != e.numSuper {
 			t.Fatalf("numSuper = %d but %d alive", e.numSuper, len(e.aliveSlots()))
 		}
@@ -263,6 +244,54 @@ func TestEngineCountsStayConsistent(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("summary after random merges invalid: %v", err)
 	}
+	// Dropping about half the superedges must keep the lists sorted,
+	// symmetric and counted.
+	k := math.Log2(float64(e.numSuper))
+	if dropped := e.sparsify(float64(e.numP+len(e.superOf)) * k); dropped == 0 {
+		t.Fatal("sparsify dropped nothing")
+	}
+	checkSuperedges(t, e)
+}
+
+// checkSuperedges recounts |P| from scratch and checks that every live
+// slot's superedge list is strictly ascending, symmetric, and free of dead
+// endpoints, and that dead slots hold no superedges.
+func checkSuperedges(t *testing.T, e *engine) {
+	t.Helper()
+	count := 0
+	for x, ys := range e.sedges {
+		if e.members[x] == nil {
+			if len(ys) != 0 {
+				t.Fatal("dead slot retains superedges")
+			}
+			continue
+		}
+		for i, y := range ys {
+			if i > 0 && ys[i-1] >= y {
+				t.Fatalf("superedges of slot %d not strictly ascending: %v", x, ys)
+			}
+			if !e.alive(y) {
+				t.Fatalf("superedge to dead slot %d", y)
+			}
+			if !e.hasSuperedge(y, uint32(x)) {
+				t.Fatalf("superedge %d-%d has no mirror", x, y)
+			}
+			if y >= uint32(x) {
+				count++
+			}
+		}
+	}
+	if count != e.numP {
+		t.Fatalf("numP = %d but counted %d", e.numP, count)
+	}
+}
+
+// commitMerge merges slot b into slot a the way mergeGroup does: evaluate
+// the pair into fresh scratch, then commit with the evaluated masses.
+func commitMerge(e *engine, a, b uint32) {
+	var pmA, pmB pairMass
+	e.evaluateMergeInto(a, b, &pmA, &pmB)
+	e.performMergeWith(a, b, &pmA, &pmB)
 }
 
 func TestSparsifyHitsTightBudget(t *testing.T) {

@@ -27,22 +27,15 @@ func (p pairSample) key() uint64 { return uint64(p.a)<<32 | uint64(p.b) }
 
 // evalScratch is one worker's private scoring state: mass scratch for the
 // pair under evaluation plus the retained masses of the worker-local best
-// pair, so the winning evaluation never has to be repeated by performMerge.
+// pair, so the winning evaluation never has to be repeated by
+// performMergeWith. The zero value is ready: pairMass sizes itself on first
+// use.
 type evalScratch struct {
 	curA, curB   pairMass // masses of the pair being evaluated
 	bestA, bestB pairMass // masses of the worker-local best pair
 	bestScore    float64
 	bestIdx      int // index into the round's unique pairs; -1 = none accepted
 	best         pairSample
-}
-
-func newEvalScratch() *evalScratch {
-	return &evalScratch{
-		curA:  pairMass{m: make(map[uint32]float64)},
-		curB:  pairMass{m: make(map[uint32]float64)},
-		bestA: pairMass{m: make(map[uint32]float64)},
-		bestB: pairMass{m: make(map[uint32]float64)},
-	}
 }
 
 func (s *evalScratch) reset() {
@@ -83,7 +76,7 @@ func (sc *roundScorer) dedupe(samples []pairSample) []pairSample {
 
 func (sc *roundScorer) scratchFor(k int) *evalScratch {
 	for len(sc.scratch) <= k {
-		sc.scratch = append(sc.scratch, newEvalScratch())
+		sc.scratch = append(sc.scratch, &evalScratch{})
 	}
 	return sc.scratch[k]
 }

@@ -36,7 +36,9 @@ type BatchItem struct {
 	Node uint32 `json:"node"`
 	// Shard is the shard that answered (or would have answered) the item;
 	// -1 when the node could not be routed.
-	Shard  int  `json:"shard"`
+	Shard int `json:"shard"`
+	// Cached reports that this item did not recompute its answer (see
+	// QueryResponse.Cached).
 	Cached bool `json:"cached"`
 	// Error is set when this item failed; exactly one of Error or the
 	// result fields is populated.
@@ -164,7 +166,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // single-shard batch of all cache misses no matter how many worker-pool
 // slots were free. Capping the session count at the pool size keeps a
 // group from holding more sessions than computations the pool can admit.
-// Each item still takes its own cache/singleflight lookup, and every
+// Each distinct cache key takes one cache/singleflight lookup, and every
 // computation acquires the bounded worker pool inside its compute closure,
 // so a large batch cannot exceed the pool any more than single queries
 // can. Item results land in disjoint items[i] slots, so neither the
@@ -187,12 +189,29 @@ func (s *Server) runShardGroup(ctx context.Context, box *backendBox, kind, metri
 		}
 		sessions[w] = sess
 	}
+	// Items that share a cache key (a repeated node; every pagerank item,
+	// pagerank being shard-scoped) are answered by the key's first
+	// occurrence alone, and each repeat copies its answer afterwards. Left
+	// to the workers, a repeat could reach the cache first and compute in
+	// place of the first occurrence.
+	firstOf := make([]int, len(idxs)) // item index of the first occurrence of idxs[k]'s key
+	first := make(map[string]int, len(idxs))
+	for k, i := range idxs {
+		key, _ := s.plan(box, sessions[0], kind, metric, graph.NodeID(items[i].Node), shard, p)
+		if _, seen := first[key]; !seen {
+			first[key] = i
+		}
+		firstOf[k] = first[key]
+	}
 	var next atomic.Int64
 	run := func(sess queries.Session) {
 		for {
 			k := int(next.Add(1)) - 1
 			if k >= len(idxs) {
 				return
+			}
+			if firstOf[k] != idxs[k] {
+				continue
 			}
 			it := &items[idxs[k]]
 			key, compute := s.plan(box, sess, kind, metric, graph.NodeID(it.Node), shard, p)
@@ -202,7 +221,7 @@ func (s *Server) runShardGroup(ctx context.Context, box *backendBox, kind, metri
 				continue
 			}
 			s.metrics.ObserveCache(status)
-			it.Cached = status == CacheHit
+			it.Cached = status != CacheMiss
 			fillResult(&it.Scores, &it.Dist, &it.Top, kind, val)
 		}
 	}
@@ -216,4 +235,15 @@ func (s *Server) runShardGroup(ctx context.Context, box *backendBox, kind, metri
 	}
 	run(sessions[0])
 	wg.Wait()
+	for k, i := range idxs {
+		if f := firstOf[k]; f != i {
+			src := &items[f]
+			it := &items[i]
+			it.Error, it.Scores, it.Dist, it.Top = src.Error, src.Scores, src.Dist, src.Top
+			if it.Error == "" {
+				s.metrics.ObserveCache(CacheHit)
+				it.Cached = true
+			}
+		}
+	}
 }

@@ -34,6 +34,10 @@ const cacheShardCount = 16
 // (endpoint, query node, config hash, backend generation).
 type Cache struct {
 	shards [cacheShardCount]cacheShard
+	// joined, when set, runs each time a lookup joins an in-flight
+	// computation, before it waits; tests use it to order a waiter
+	// against the leader without sleeping.
+	joined func()
 }
 
 type cacheShard struct {
@@ -103,6 +107,9 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func() (any, er
 		}
 		if f, ok := sh.flights[key]; ok {
 			sh.mu.Unlock()
+			if c.joined != nil {
+				c.joined()
+			}
 			select {
 			case <-f.done:
 				if f.err != nil && isContextErr(f.err) && ctx.Err() == nil {

@@ -175,7 +175,9 @@ type NodeScore struct {
 	Score float64 `json:"score"`
 }
 
-// QueryResponse is the JSON answer of POST /v1/query/{kind}.
+// QueryResponse is the JSON answer of POST /v1/query/{kind}. Cached reports
+// that this request did not recompute the answer: it was a cache hit or
+// shared an identical in-flight computation.
 type QueryResponse struct {
 	Kind       string      `json:"kind"`
 	Node       uint32      `json:"node"`
@@ -519,7 +521,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Kind:       kind,
 		Node:       req.Node,
 		Shard:      shard,
-		Cached:     status == CacheHit,
+		Cached:     status != CacheMiss,
 		Generation: box.gen,
 		Trace:      debugTrace(r),
 	}

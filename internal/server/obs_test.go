@@ -30,7 +30,7 @@ func spanNames(v *obs.TraceView) map[string]int {
 // the handler, cache, and session-evaluation spans, and the X-Trace-Id
 // header must match the timeline's trace ID.
 func TestQueryDebugTimeline(t *testing.T) {
-	s := testServer(t)
+	s := coldTestServer(t)
 	h := s.Handler()
 
 	// An uncached node so the compute path (and its session span) runs.

@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pegasus/internal/distributed"
 	"pegasus/internal/graph"
@@ -232,6 +233,29 @@ func (s *Server) Addr() string {
 	return ""
 }
 
+// Connection timeouts of the HTTP listener. readHeaderTimeout bounds how long
+// a client may take to send its request headers, so a slowloris client
+// trickling header bytes cannot pin a connection; idleTimeout closes
+// keep-alive connections that carry no request. Bodies are already bounded
+// by MaxBodyBytes and computations by QueryTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer returns the http.Server Run serves on; request contexts derive
+// from ctx without its cancellation, so Shutdown can drain them.
+func (s *Server) httpServer(ctx context.Context) *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		BaseContext: func(net.Listener) context.Context {
+			return context.WithoutCancel(ctx)
+		},
+	}
+}
+
 // Run listens on cfg.Addr and serves until ctx is cancelled, then drains
 // in-flight requests for up to cfg.ShutdownGrace. It returns nil on a clean
 // shutdown.
@@ -243,12 +267,7 @@ func (s *Server) Run(ctx context.Context) error {
 	bound := ln.Addr().String()
 	s.addr.Store(&bound)
 
-	hs := &http.Server{
-		Handler: s.Handler(),
-		BaseContext: func(net.Listener) context.Context {
-			return context.WithoutCancel(ctx)
-		},
-	}
+	hs := s.httpServer(ctx)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -52,6 +52,16 @@ func testServer(t testing.TB) *Server {
 	return sharedSrv
 }
 
+// coldTestServer is testServer with its query cache purged, for tests whose
+// first lookup must miss: the shared server outlives a single test, and
+// `go test -count=N` reruns every test against the same process-wide cache.
+func coldTestServer(t testing.TB) *Server {
+	t.Helper()
+	s := testServer(t)
+	s.cache.Purge()
+	return s
+}
+
 func postJSON(t testing.TB, h http.Handler, path string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -290,7 +300,7 @@ func TestSummaryReport(t *testing.T) {
 // identical queries must hit, visible both in the response and in the
 // /metrics hit counter.
 func TestCacheHitViaMetrics(t *testing.T) {
-	s := testServer(t)
+	s := coldTestServer(t)
 	h := s.Handler()
 	// A config unique to this test keeps other tests' queries out of the way.
 	req := QueryRequest{Node: 11, QueryParams: QueryParams{Eps: fp(3e-9)}}
@@ -327,6 +337,92 @@ func TestCacheHitViaMetrics(t *testing.T) {
 	}
 	if len(after.ShardQueries) != 2 {
 		t.Fatalf("%d shard counters, want 2", len(after.ShardQueries))
+	}
+}
+
+// TestSharedFlightReportsCached: a request that joins an identical in-flight
+// computation did not recompute the answer, so it reports cached, both as a
+// single query and as a batch item. The leader's compute is held until the
+// request has joined its flight, so the join is forced, not raced.
+func TestSharedFlightReportsCached(t *testing.T) {
+	s := coldTestServer(t)
+	t.Cleanup(func() { s.cache.joined = nil })
+	h := s.Handler()
+	ctx := context.Background()
+
+	const q = 5
+	req := QueryRequest{Node: q}
+	box := s.current()
+	shard, err := box.be.shard(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := box.be.session(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric, _ := req.metricFor("rwr")
+	key, compute := s.plan(box, sess, "rwr", metric, q, shard, req.resolved(metric))
+
+	for _, tc := range []struct {
+		name string
+		send func() bool // issues the request, returns its cached flag
+	}{
+		{"single", func() bool {
+			_, raw := postJSON(t, h, "/v1/query/rwr", req)
+			var resp QueryResponse
+			decodeInto(t, raw, &resp)
+			return resp.Cached
+		}},
+		{"batch", func() bool {
+			_, raw := postJSON(t, h, "/v1/query/batch", BatchRequest{Kind: "rwr", Nodes: []uint32{q}})
+			var resp BatchResponse
+			decodeInto(t, raw, &resp)
+			if len(resp.Items) != 1 || resp.Items[0].Error != "" {
+				t.Fatalf("batch answer: %s", raw)
+			}
+			return resp.Items[0].Cached
+		}},
+	} {
+		s.cache.Purge()
+		started, joined := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		release := func() { once.Do(func() { close(joined) }) }
+		s.cache.joined = release
+		leader := make(chan CacheStatus, 1)
+		go func() {
+			_, st, _ := s.cache.GetOrCompute(ctx, key, func() (any, error) {
+				close(started)
+				<-joined
+				return compute(ctx)
+			})
+			leader <- st
+		}()
+		<-started
+		cached := tc.send()
+		release() // frees the leader even if the request never joined
+		if !cached {
+			t.Errorf("%s: a request that shared an in-flight computation reported cached=false", tc.name)
+		}
+		if st := <-leader; st != CacheMiss {
+			t.Errorf("%s: leader status %v, want miss", tc.name, st)
+		}
+	}
+}
+
+// TestHTTPServerTimeouts: the listener Run serves on bounds how long a client
+// may take to send its headers and how long a keep-alive connection may sit
+// idle, so slow or silent clients cannot pin connections.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := testServer(t).httpServer(context.Background())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("http.Server has no handler")
 	}
 }
 

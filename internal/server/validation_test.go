@@ -61,7 +61,7 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 // while absent fields and explicitly-spelled defaults share one cache
 // entry.
 func TestExplicitZeroParams(t *testing.T) {
-	s := testServer(t)
+	s := coldTestServer(t)
 	h := s.Handler()
 
 	for _, tc := range []struct{ name, body, wantIn string }{
