@@ -158,7 +158,7 @@ type ScaleResult struct {
 	QPS         float64 `json:"qps"`
 	P50Ms       float64 `json:"p50_ms"`
 	P99Ms       float64 `json:"p99_ms"`
-	HeapBytes   uint64  `json:"heap_bytes"` // live heap after the arm (post-GC)
+	HeapBytes   uint64  `json:"heap_bytes"` // live heap after the arm (post-GC), with the ingested graph and the built cluster still held
 	SysBytes    uint64  `json:"sys_bytes"`  // total memory obtained from the OS
 	RSSBytes    int64   `json:"rss_bytes"`  // resident set via /proc (0 where unsupported)
 	Fingerprint string  `json:"graph_fingerprint"`
@@ -822,6 +822,10 @@ func runScaleArm(name, code string, scale float64, shards, queries int, budget f
 	runtime.GC()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
+	// The graph and the cluster are dead after the queries; keep them alive
+	// through the GC above so the heap reading covers what the arm built.
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(g)
 	r.HeapBytes = mem.HeapAlloc
 	r.SysBytes = mem.Sys
 	r.RSSBytes = rssBytes()

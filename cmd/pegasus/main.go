@@ -111,8 +111,9 @@ func trace(enabled bool) func(pegasus.IterStats) {
 		return nil
 	}
 	return func(st pegasus.IterStats) {
-		fmt.Fprintf(os.Stderr, "iter=%d theta=%.4f |S|=%d |P|=%d size=%.0f merges=%d rejections=%d groups=%d\n",
-			st.Iteration, st.Theta, st.NumSuper, st.NumSupered, st.SizeBits, st.Merges, st.Rejections, st.Groups)
+		fmt.Fprintf(os.Stderr, "iter=%d theta=%.4f |S|=%d |P|=%d size=%.0f merges=%d rejections=%d groups=%d sampled=%d scored=%d mass_evals=%d\n",
+			st.Iteration, st.Theta, st.NumSuper, st.NumSupered, st.SizeBits, st.Merges, st.Rejections, st.Groups,
+			st.Sampled, st.Scored, st.MassEvals)
 	}
 }
 

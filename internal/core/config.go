@@ -55,6 +55,9 @@ type IterStats struct {
 	Merges     int     // merges performed this iteration
 	Rejections int     // failed merge attempts this iteration (|L| growth)
 	Groups     int     // candidate groups processed
+	Sampled    int     // candidate pairs drawn this iteration
+	Scored     int     // distinct candidate pairs scored this iteration
+	MassEvals  int     // supernode mass accumulations (memo fills) this iteration
 }
 
 // Config parameterizes Summarize. Zero values select the paper defaults.

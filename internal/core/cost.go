@@ -78,38 +78,37 @@ func entropyBits(t, e float64) float64 {
 // supernodeCost computes Cost_A (Eq. 9) for slot a under the current
 // superedge set, given a's masses in pm. Superedges to supernodes with zero
 // mass are also charged (presence bits only), in ascending slot order after
-// the massive pairs, so cost sums are bit-for-bit deterministic.
+// the massive pairs, so cost sums are bit-for-bit deterministic. Presence is
+// read from a dense mark of sedges[a] in pm.edge, set and cleared here.
 func (eng *engine) supernodeCost(a uint32, pm *pairMass) float64 {
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
+	if len(pm.edge) < len(eng.members) {
+		pm.edge = make([]bool, len(eng.members))
+	}
+	for _, x := range eng.sedges[a] {
+		pm.edge[x] = true
+	}
 	total := 0.0
 	for _, x := range pm.keys {
 		t, e := eng.totals(a, x, pm.m[x])
-		total += eng.pairCost(t, e, eng.hasSuperedge(a, x), logS2)
+		total += eng.pairCost(t, e, pm.edge[x], eng.logS2)
 	}
 	for _, x := range eng.sedges[a] {
+		pm.edge[x] = false
 		if !pm.in[x] {
 			t, e := eng.totals(a, x, 0)
-			total += eng.pairCost(t, e, true, logS2)
+			total += eng.pairCost(t, e, true, eng.logS2)
 		}
 	}
 	return total
 }
 
-// evaluateMergeInto computes the cost reduction of merging slots a and b:
-// Eq. (10) (absolute) and Eq. (11) (relative). It only reads the engine
-// state, so distinct scratch pairs may evaluate distinct candidate pairs
-// concurrently (the parallel scoring path). pmA/pmB are left holding the
-// masses of a and b for reuse by performMergeWith.
-func (eng *engine) evaluateMergeInto(a, b uint32, pmA, pmB *pairMass) (rel, abs float64) {
-	eng.accumulateMass(a, pmA)
-	eng.accumulateMass(b, pmB)
-
-	costA := eng.supernodeCost(a, pmA)
-	costB := eng.supernodeCost(b, pmB)
-
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
+// mergeGain computes the cost reduction of merging slots a and b, Eq. (10)
+// (absolute) and Eq. (11) (relative), given Cost_A and Cost_B and the masses
+// of a and b in pmA and pmB. It only reads the engine state, so distinct
+// scratch pairs may evaluate distinct candidate pairs concurrently.
+func (eng *engine) mergeGain(a, b uint32, costA, costB float64, pmA, pmB *pairMass) (rel, abs float64) {
 	tAB, eAB := crossTotals(eng.sumPi[a], eng.sumPi[b], pmA.m[b])
-	costAB := eng.pairCost(tAB, eAB, eng.hasSuperedge(a, b), logS2)
+	costAB := eng.pairCost(tAB, eAB, eng.hasSuperedge(a, b), eng.logS2)
 
 	before := costA + costB - costAB
 	costC := eng.mergedCost(a, b, pmA, pmB)
@@ -126,11 +125,10 @@ func (eng *engine) evaluateMergeInto(a, b uint32, pmA, pmB *pairMass) (rel, abs 
 // optimally (Alg. 2 line 9), evaluated in the post-merge summary where
 // |S| is one smaller. Requires pmA/pmB to hold the masses of a and b.
 func (eng *engine) mergedCost(a, b uint32, pmA, pmB *pairMass) float64 {
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper-1), 2))
 	piC := eng.sumPi[a] + eng.sumPi[b]
 	qC := eng.sumPiSq[a] + eng.sumPiSq[b]
 	total := 0.0
-	eng.mergedPairs(a, b, pmA, pmB, piC, qC, logS2, func(_ uint32, c float64, _ bool) { total += c })
+	eng.mergedPairs(a, b, pmA, pmB, piC, qC, eng.logS2Merged, func(_ uint32, c float64, _ bool) { total += c })
 	return total
 }
 
@@ -164,7 +162,8 @@ func (eng *engine) mergedPairs(a, b uint32, pmA, pmB *pairMass, piC, qC, logS2 f
 // stale superedges, unions members and aggregates, and re-adds superedges
 // incident to the merged supernode exactly when presence lowers the pair
 // cost. pmA/pmB must hold the masses of a and b, as left by the argmax
-// evaluation's scratch, so the winning evaluation is not repeated here.
+// evaluation's scratch, so the winning evaluation is not repeated here. The
+// merge starts a new engine version, which invalidates every slot memo.
 func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass) {
 	eng.removeIncidentSuperedges(a)
 	eng.removeIncidentSuperedges(b)
@@ -179,9 +178,9 @@ func (eng *engine) performMergeWith(a, b uint32, pmA, pmB *pairMass) {
 	eng.sumPiSq[a] += eng.sumPiSq[b]
 	eng.sumPi[b], eng.sumPiSq[b] = 0, 0
 	eng.numSuper--
+	eng.newVersion()
 
-	logS2 := 2 * math.Log2(math.Max(float64(eng.numSuper), 2))
-	eng.mergedPairs(a, b, pmA, pmB, eng.sumPi[a], eng.sumPiSq[a], logS2, func(x uint32, _ float64, present bool) {
+	eng.mergedPairs(a, b, pmA, pmB, eng.sumPi[a], eng.sumPiSq[a], eng.logS2, func(x uint32, _ float64, present bool) {
 		if present {
 			eng.addSuperedge(a, x)
 		}

@@ -34,6 +34,15 @@ type engine struct {
 	numP     int              // |P|
 	logV     float64          // log2|V|
 
+	// version identifies the engine state the slot memos were priced in. It
+	// goes up on every committed merge (which changes |S| and with it every
+	// Cost_A) and at the start of every group (which bounds the arenas).
+	// logS2 and logS2Merged are 2·log2|S| and 2·log2(|S|−1) at that version:
+	// the presence bits of a superedge now and after one more merge.
+	version            uint64
+	logS2, logS2Merged float64
+	memo               []slotMemo // slot -> its masses and Cost_A at memo.ver
+
 	// candidate-generation scratch reused across iterations (shingle.go):
 	// per-depth node-shingle vectors tagged with the seed that filled them,
 	// the packed (shingle key, slot payload) sort arrays with the radix
@@ -51,6 +60,24 @@ type engine struct {
 	scorer roundScorer
 }
 
+// slotMemo is one slot's priced state: its directed masses, stored in
+// first-touch order in the arena of the scoring worker that priced it
+// (keys[off:off+n] and m[off:off+n]), and its Cost_A. It is valid while ver
+// equals the engine version.
+type slotMemo struct {
+	ver    uint64
+	cost   float64
+	off, n uint32
+	arena  uint32
+}
+
+// massArena is one scoring worker's memo storage: the masses of every slot
+// it priced in the current version, back to back.
+type massArena struct {
+	keys []uint32
+	m    []float64
+}
+
 // pairMass accumulates directed weighted edge mass from one supernode to
 // every adjacent supernode: dm_AX = Σ_{u∈A} Σ_{v∈N_u ∩ X} π'_u·π'_v.
 // For X ≠ A, dm_AX equals the unordered weighted edge mass m_AX; for X = A
@@ -59,11 +86,13 @@ type engine struct {
 //
 // m and in are dense and slot-indexed (m[x] is 0 when x is untouched); keys
 // lists the touched slots in first-touch order, which fixes the float
-// summation order of every cost sum over them.
+// summation order of every cost sum over them. edge is supernodeCost's dense
+// superedge mark, sized on first use.
 type pairMass struct {
 	keys []uint32
 	m    []float64
 	in   []bool
+	edge []bool
 }
 
 // reset clears the touched entries and grows the dense arrays to cover
@@ -77,6 +106,18 @@ func (pm *pairMass) reset(slots int) {
 		pm.m = make([]float64, slots)
 		pm.in = make([]bool, slots)
 	}
+}
+
+// load fills pm with masses stored in first-touch order, leaving it exactly
+// as accumulating them would: the same keys in the same order and the same
+// float values.
+func (pm *pairMass) load(keys []uint32, m []float64, slots int) {
+	pm.reset(slots)
+	for i, k := range keys {
+		pm.in[k] = true
+		pm.m[k] = m[i]
+	}
+	pm.keys = append(pm.keys, keys...)
 }
 
 func (pm *pairMass) add(x uint32, v float64) {
@@ -101,6 +142,7 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 		sumPi:    make([]float64, n),
 		sumPiSq:  make([]float64, n),
 		sedges:   make([][]uint32, n),
+		memo:     make([]slotMemo, n),
 		numSuper: n,
 		numP:     int(g.NumEdges()),
 		logV:     math.Log2(math.Max(float64(n), 2)),
@@ -121,7 +163,23 @@ func newEngine(g *graph.Graph, w *weights.Weights, cfg Config) *engine {
 			e.sedges[u] = slices.Clone(g.Neighbors(graph.NodeID(u)))
 		}
 	})
+	e.scorer.price = func(w, i int) { e.priceSlot(w, e.scorer.pending[i]) }
+	e.scorer.score = func(w, i int) { e.observe(e.scorer.scratch[w], i, e.scorer.unique[i]) }
+	e.newVersion()
 	return e
+}
+
+// newVersion starts a new engine state: every slot memo becomes stale, the
+// scoring workers' arenas are emptied, and the presence bits are re-derived
+// from |S|. Slot memos are only ever read at the version they were priced
+// in, so the arenas hold at most one group's masses.
+func (e *engine) newVersion() {
+	e.version++
+	e.logS2 = 2 * math.Log2(math.Max(float64(e.numSuper), 2))
+	e.logS2Merged = 2 * math.Log2(math.Max(float64(e.numSuper-1), 2))
+	for _, s := range e.scorer.scratch {
+		s.arena.keys, s.arena.m = s.arena.keys[:0], s.arena.m[:0]
+	}
 }
 
 // sizeBits returns Size(G) per Eq. (3) for the current state.

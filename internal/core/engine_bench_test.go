@@ -29,8 +29,10 @@ func benchEngine(b *testing.B, n, m int) *engine {
 	return newEngine(g, w, cfg)
 }
 
-// BenchmarkEvaluateMerge measures one candidate-pair evaluation (Lemma 1:
-// O(deg(A)+deg(B))).
+// BenchmarkEvaluateMerge measures one un-memoized candidate-pair evaluation
+// (Lemma 1: O(deg(A)+deg(B))) through the reference evaluateMergeInto: both
+// slots accumulated and priced from scratch, as the merge scorer does once
+// per slot and engine version.
 func BenchmarkEvaluateMerge(b *testing.B) {
 	e := benchEngine(b, 5000, 4)
 	var pmA, pmB pairMass

@@ -15,7 +15,11 @@ import "math"
 // pairs are deduped instead of burning evaluations on identical re-scores,
 // and the argmax evaluation's masses are handed to performMergeWith instead
 // of being recomputed.
+//
+// The group starts a new engine version, so the slot memos priced for the
+// previous group (and their arenas) are dropped before this one's are made.
 func (e *engine) mergeGroup(group []uint32, theta float64, rejected *[]float64) int {
+	e.newVersion()
 	fails := 0
 	merges := 0
 	// group is mutated in place: merged-away slots are swapped out.
@@ -34,7 +38,9 @@ func (e *engine) mergeGroup(group []uint32, theta float64, rejected *[]float64) 
 			samples = append(samples, pairSample{a: group[ai], b: group[bi]})
 		}
 		e.scorer.samples = samples
-		win := e.scoreRound(e.scorer.dedupe(samples))
+		e.scorer.counts.sampled += len(samples)
+		e.scorer.counts.scored += len(e.scorer.dedupe(samples))
+		win := e.scoreRound()
 		if win == nil {
 			break
 		}

@@ -50,6 +50,7 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 		csp.End()
 		var rejected []float64
 		merges := 0
+		eng.scorer.counts = mergeCounts{}
 		_, msp := obs.StartSpan(ctx, "build.merge")
 		for _, grp := range groups {
 			if err := ctx.Err(); err != nil {
@@ -81,6 +82,9 @@ func summarizeWeighted(ctx context.Context, g *graph.Graph, w *weights.Weights, 
 				Merges:     merges,
 				Rejections: len(rejected),
 				Groups:     len(groups),
+				Sampled:    eng.scorer.counts.sampled,
+				Scored:     eng.scorer.counts.scored,
+				MassEvals:  eng.scorer.counts.massEvals,
 			})
 		}
 		theta = cfg.Threshold.Next(t, rejected, theta)

@@ -192,6 +192,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEvaluateMergeSymmetry checks on the reference evaluation that merging
+// b into a and a into b are priced alike.
 func TestEvaluateMergeSymmetry(t *testing.T) {
 	g := baGraph(t, 120, 3, 13)
 	cfg, err := Config{BudgetRatio: 0.5, Seed: 1}.withDefaults(g)
@@ -287,7 +289,8 @@ func checkSuperedges(t *testing.T, e *engine) {
 }
 
 // commitMerge merges slot b into slot a the way mergeGroup does: evaluate
-// the pair into fresh scratch, then commit with the evaluated masses.
+// the pair into fresh scratch (through the reference evaluation), then
+// commit with the evaluated masses.
 func commitMerge(e *engine, a, b uint32) {
 	var pmA, pmB pairMass
 	e.evaluateMergeInto(a, b, &pmA, &pmB)
